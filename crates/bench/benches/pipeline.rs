@@ -1,6 +1,7 @@
 //! The 1-NN evaluation pipeline: dissimilarity-matrix construction,
 //! classification, LOOCV — and the lower-bound-pruned DTW search
-//! ablation from Section 10.
+//! ablation from Section 10 (the index cascade LB_PAA → LB_Keogh →
+//! early-abandoning DTW).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -10,8 +11,11 @@ use tsdist_core::elastic::Dtw;
 use tsdist_core::lockstep::Euclidean;
 use tsdist_core::normalization::Normalization;
 use tsdist_core::sliding::CrossCorrelation;
+use tsdist_core::TrainIndex;
 use tsdist_data::synthetic::{generate_dataset, ArchiveConfig};
-use tsdist_eval::{distance_matrix, loocv_accuracy, one_nn_accuracy, prepare, pruned_dtw_search};
+use tsdist_eval::{
+    distance_matrix, indexed_nn_search_stats, loocv_accuracy, one_nn_accuracy, prepare,
+};
 
 fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
@@ -42,17 +46,22 @@ fn bench_pipeline(c: &mut Criterion) {
         })
     });
 
-    // Ablation: exhaustive banded-DTW 1-NN vs the LB_Kim/LB_Keogh cascade.
-    let band = (ds.series_len() as f64 * 0.1).ceil() as usize;
+    // Ablation: exhaustive banded-DTW 1-NN vs the LB_PAA/LB_Keogh cascade.
+    let dtw = Dtw::with_window_pct(10.0);
     group.bench_function("dtw10_exhaustive_search", |b| {
-        let dtw = Dtw::with_window_pct(10.0);
         b.iter(|| {
             let e = distance_matrix(&dtw, &ds.test, &ds.train);
             black_box(one_nn_accuracy(&e, &ds.test_labels, &ds.train_labels))
         })
     });
     group.bench_function("dtw10_lb_pruned_search", |b| {
-        b.iter(|| black_box(pruned_dtw_search(&ds, band)))
+        let mut ix = TrainIndex::build(&ds.train);
+        ix.prepare_measure(&dtw, &ds.train);
+        b.iter(|| {
+            black_box(indexed_nn_search_stats(
+                &dtw, &ds.test, &ds.train, &ix, true,
+            ))
+        })
     });
     group.finish();
 }

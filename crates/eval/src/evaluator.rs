@@ -2,30 +2,11 @@
 //! the supervised (LOOCCV) and unsupervised settings, and category-
 //! specific paths for distances, kernels, and embeddings.
 //!
-//! # Migration note: the `Eval` request builder
-//!
-//! The historical trio of unsupervised distance entry points —
-//! `evaluate_distance`, `try_evaluate_distance`, and
-//! `evaluate_distance_pruned` (plus their pruned `try_` twin) — is
-//! superseded by the single [`Eval`](crate::request::Eval) request
-//! builder, which the CLI, the query server (`tsdist-serve`), and the
-//! study runner now share verbatim:
-//!
-//! | old call | new call |
-//! |----------|----------|
-//! | `evaluate_distance(d, ds, norm)` | `Eval::new(d).on(ds).normalized(norm).run()?.accuracy` |
-//! | `try_evaluate_distance(d, ds, norm, flag)` | `Eval::new(d).on(ds).normalized(norm).cancelled_by(flag).run()` |
-//! | `evaluate_distance_pruned(d, ds, norm)` | `Eval::new(d).on(ds).normalized(norm).pruned(true).run()?.accuracy` |
-//! | `try_evaluate_distance_pruned(d, ds, norm, flag)` | `Eval::new(d).on(ds).normalized(norm).pruned(true).cancelled_by(flag).run()` |
-//! | `pruned_one_nn_accuracy(d, test, train, tel, trl, warm)` | `Eval::new(d).on(ds).pruned(true).warm_start(warm).run()?.accuracy` |
-//! | `pruned_knn_accuracy(d, …, k, warm)` | `Eval::new(d).on(ds).pruned(true).k(k).warm_start(warm).run()?.accuracy` |
-//!
-//! `run()` returns a typed [`EvalReport`](crate::request::EvalReport);
-//! errors (shape mismatches, deadlines, non-finite distances, measure
-//! faults) surface as [`EvalError`] instead of splitting across a
-//! panicking facade and a `try_` twin. The deprecated shims remain thin
-//! wrappers over the same cores and keep their historical behaviour.
-//! The supervised / kernel / embedding entry points are unchanged.
+//! Unsupervised distance evaluation goes through the
+//! [`Eval`](crate::request::Eval) request builder, which the CLI, the
+//! query server (`tsdist-serve`), and the study runner share verbatim;
+//! the cell cores it runs live here. The supervised / kernel / embedding
+//! entry points are plain functions.
 
 use crate::cell::{
     find_non_finite, CancelFlag, CellError, Evaluation, GuardedDistance, GuardedKernel,
@@ -36,10 +17,11 @@ use crate::matrices::{
     symmetric_distance_matrix_into,
 };
 use crate::nn::{loocv_accuracy, one_nn_accuracy, try_loocv_accuracy, try_one_nn_accuracy};
-use crate::pruned::{one_nn_accuracy_core, one_nn_vote_accuracy, pruned_nn_search};
+use crate::scan::{check_shapes, one_nn_vote_accuracy, EnvelopeCache, Search};
 use tsdist_core::embedding::Embedding;
 use tsdist_core::measure::{Distance, Kernel};
 use tsdist_core::normalization::{AdaptiveScaled, Normalization};
+use tsdist_core::TrainIndex;
 use tsdist_data::Dataset;
 use tsdist_linalg::Matrix;
 
@@ -70,22 +52,10 @@ pub struct SupervisedOutcome {
     pub best_index: usize,
 }
 
-/// Test accuracy of one distance measure on one dataset under one
-/// normalization (the unsupervised path for parameter-free measures).
-///
-/// When `norm` is the pairwise [`Normalization::AdaptiveScaling`], the
-/// measure is wrapped in [`AdaptiveScaled`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Eval::new(measure).on(dataset).normalized(norm).run()`; see the module docs for the migration table"
-)]
-pub fn evaluate_distance(d: &dyn Distance, ds: &Dataset, norm: Normalization) -> f64 {
-    distance_accuracy(d, ds, norm)
-}
-
-/// The matrix-backed accuracy core behind the deprecated
-/// [`evaluate_distance`] shim, still used by the supervised grid path
-/// (which scores the winning grid point on the test split).
+/// Matrix-backed test accuracy of one distance measure under one
+/// normalization — how the supervised grid path scores its winning grid
+/// point on the test split. A pairwise normalization wraps the measure
+/// in [`AdaptiveScaled`].
 fn distance_accuracy(d: &dyn Distance, ds: &Dataset, norm: Normalization) -> f64 {
     let prepared = prepare(ds, norm);
     let e = if norm.is_pairwise() {
@@ -95,43 +65,6 @@ fn distance_accuracy(d: &dyn Distance, ds: &Dataset, norm: Normalization) -> f64
         distance_matrix(d, &prepared.test, &prepared.train)
     };
     one_nn_accuracy(&e, &prepared.test_labels, &prepared.train_labels)
-}
-
-/// Cutoff-threaded variant of [`evaluate_distance`]: the 1-NN scan runs
-/// through [`Distance::distance_upto`] with the best-so-far threaded as
-/// a cutoff (plus warm-started, cheap-ordered candidate scans), never
-/// materializing `E`. Accuracy is byte-identical to
-/// [`evaluate_distance`]; only the work done changes.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Eval::new(measure).on(dataset).normalized(norm).pruned(true).run()`; see the module docs for the migration table"
-)]
-pub fn evaluate_distance_pruned(d: &dyn Distance, ds: &Dataset, norm: Normalization) -> f64 {
-    distance_accuracy_pruned(d, ds, norm)
-}
-
-/// The pruned accuracy core behind the deprecated
-/// [`evaluate_distance_pruned`] shim.
-fn distance_accuracy_pruned(d: &dyn Distance, ds: &Dataset, norm: Normalization) -> f64 {
-    let prepared = prepare(ds, norm);
-    let run = |d: &dyn Distance| {
-        one_nn_accuracy_core(
-            d,
-            &prepared.test,
-            &prepared.train,
-            &prepared.test_labels,
-            &prepared.train_labels,
-            true,
-            None,
-        )
-        // tsdist-lint: allow(no-unwrap-in-lib, reason = "panicking facade: shapes were validated by `prepare`, so the typed error is unreachable")
-        .unwrap_or_else(|err| panic!("{err}"))
-    };
-    if norm.is_pairwise() {
-        run(&AdaptiveScaled::new(d))
-    } else {
-        run(d)
-    }
 }
 
 /// Supervised evaluation of a parameter grid: every grid point's LOOCV
@@ -271,33 +204,18 @@ pub fn evaluate_embedding_supervised(
 //
 // The `try_evaluate_*` functions below are what the fault-tolerant
 // [`CellRunner`](crate::runner::CellRunner) executes inside each cell.
-// They differ from the legacy entry points above in three ways: the
+// They differ from the panicking entry points above in three ways: the
 // measure is wrapped in a guarded adapter that honours a [`CancelFlag`]
 // (so watchdog deadlines interrupt even the matrix kernels), supervised
 // grid loops check the flag cooperatively between parameter points, and
 // every dissimilarity matrix is screened for NaN/±Inf at the source —
 // reported as [`CellError::NonFiniteDistance`] instead of silently
 // sorting last in the 1-NN selection. Healthy cells compute bit-identical
-// accuracies to the legacy paths (the guards delegate transparently,
+// accuracies to the panicking paths (the guards delegate transparently,
 // including `distance_ws` and `is_symmetric`).
 
-/// Cancellable, fault-classified variant of [`evaluate_distance`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Eval::new(measure).on(dataset).normalized(norm).cancelled_by(flag).run()`; see the module docs for the migration table"
-)]
-pub fn try_evaluate_distance(
-    d: &dyn Distance,
-    ds: &Dataset,
-    norm: Normalization,
-    cancel: &CancelFlag,
-) -> Result<Evaluation, CellError> {
-    distance_cell(d, ds, norm, cancel)
-}
-
-/// The cancellable, fault-classified cell core shared by the runner, the
-/// [`Eval`](crate::request::Eval) builder, and the deprecated
-/// [`try_evaluate_distance`] shim.
+/// The cancellable, fault-classified matrix cell core shared by the
+/// runner and the [`Eval`](crate::request::Eval) builder.
 pub(crate) fn distance_cell(
     d: &dyn Distance,
     ds: &Dataset,
@@ -332,32 +250,9 @@ pub(crate) fn distance_cell_prepared(
     Ok(Evaluation::unsupervised(accuracy))
 }
 
-/// Cancellable, fault-classified variant of [`evaluate_distance_pruned`]
-/// — the cell core behind `RunnerConfig::with_pruned`.
-///
-/// Mirrors [`try_evaluate_distance`] with one caveat: `E` is never
-/// materialized, so the NaN/±Inf screen is best-effort — only distances
-/// the scan computed *exactly* are inspectable (an abandoned candidate
-/// legitimately reports `INFINITY`). Healthy measures produce a
-/// byte-identical [`Evaluation`]; a fault the scan does observe is still
-/// reported as [`CellError::NonFiniteDistance`] with `i` the test row
-/// and `j` the offending training index.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Eval::new(measure).on(dataset).normalized(norm).pruned(true).cancelled_by(flag).run()`; see the module docs for the migration table"
-)]
-pub fn try_evaluate_distance_pruned(
-    d: &dyn Distance,
-    ds: &Dataset,
-    norm: Normalization,
-    cancel: &CancelFlag,
-) -> Result<Evaluation, CellError> {
-    distance_cell_pruned(d, ds, norm, cancel)
-}
-
-/// The pruned cell core shared by the runner, the
-/// [`Eval`](crate::request::Eval) builder, and the deprecated
-/// [`try_evaluate_distance_pruned`] shim.
+/// The scan cell core behind `RunnerConfig::with_pruned`: [`distance_cell`]
+/// with the 1-NN rows answered by the cutoff-threaded scan instead of
+/// a materialized `E`.
 pub(crate) fn distance_cell_pruned(
     d: &dyn Distance,
     ds: &Dataset,
@@ -366,82 +261,55 @@ pub(crate) fn distance_cell_pruned(
 ) -> Result<Evaluation, CellError> {
     cancel.checkpoint()?;
     let prepared = prepare(ds, norm);
-    distance_cell_pruned_prepared(d, &prepared, norm, cancel)
+    distance_cell_scan_prepared(d, &prepared, norm, cancel, None, true, None)
 }
 
-/// [`distance_cell_pruned`] on an already-[`prepare`]d dataset.
-pub(crate) fn distance_cell_pruned_prepared(
+/// The scan cell core on an already-[`prepare`]d dataset. Rows whose
+/// `index` plan admits it skip candidates via the lower-bound cascade or
+/// pivot bounds; everything else takes the linear scan. The `index` must
+/// have been built over this *prepared* train split (the caller's
+/// contract, as with `assume_prepared`); a mismatched index is detected
+/// by length and never prunes.
+///
+/// Accuracies are byte-identical to [`distance_cell_prepared`]. `E` is
+/// never materialized, so the NaN/±Inf screen is best-effort — only
+/// distances the scan computed *exactly* are inspectable (an abandoned
+/// candidate legitimately reports `INFINITY`); a fault the scan does
+/// observe is reported as [`CellError::NonFiniteDistance`] with `i` the
+/// test row and `j` the offending training index.
+pub(crate) fn distance_cell_scan_prepared(
     d: &dyn Distance,
     prepared: &Dataset,
     norm: Normalization,
     cancel: &CancelFlag,
-) -> Result<Evaluation, CellError> {
-    cancel.checkpoint()?;
-    if prepared.train.is_empty() {
-        return Err(EvalError::EmptyTrainSet.into());
-    }
-    let guarded = GuardedDistance::new(d, cancel);
-    let nns = if norm.is_pairwise() {
-        let wrapped = AdaptiveScaled::new(guarded);
-        pruned_nn_search(&wrapped, &prepared.test, &prepared.train, true)
-    } else {
-        pruned_nn_search(&guarded, &prepared.test, &prepared.train, true)
-    };
-    if let Some((i, j)) = nns
-        .iter()
-        .enumerate()
-        .find_map(|(i, nn)| nn.non_finite.map(|j| (i, j)))
-    {
-        return Err(CellError::NonFiniteDistance { i, j });
-    }
-    let accuracy = one_nn_vote_accuracy(&nns, &prepared.test_labels, &prepared.train_labels);
-    Ok(Evaluation::unsupervised(accuracy))
-}
-
-/// [`distance_cell_pruned_prepared`] with an index tier: rows with an
-/// admissible plan skip candidates via the lower-bound cascade or pivot
-/// bounds; everything else takes the linear scan. Byte-identical
-/// accuracy either way. The `index` must have been built over this
-/// *prepared* train split (the caller's contract, as with
-/// `assume_prepared`); a mismatched index is detected by length and
-/// never prunes.
-pub(crate) fn distance_cell_indexed_prepared(
-    d: &dyn Distance,
-    prepared: &Dataset,
-    norm: Normalization,
-    cancel: &CancelFlag,
-    index: &tsdist_core::TrainIndex,
+    index: Option<&TrainIndex>,
     warm_start: bool,
-    cache: Option<&crate::runtime::EnvelopeCache>,
+    cache: Option<&EnvelopeCache>,
 ) -> Result<Evaluation, CellError> {
     cancel.checkpoint()?;
-    if prepared.train.is_empty() {
-        return Err(EvalError::EmptyTrainSet.into());
-    }
+    let (test, train) = (&prepared.test, &prepared.train);
+    check_shapes(
+        test.len(),
+        train.len(),
+        &prepared.test_labels,
+        &prepared.train_labels,
+    )?;
     let guarded = GuardedDistance::new(d, cancel);
-    let (nns, _) = if norm.is_pairwise() {
-        // Per-pair rescaling invalidates every precomputed bound; the
-        // wrapper declares no index profile, so each row's plan falls
-        // back to the linear scan on its own.
-        let wrapped = AdaptiveScaled::new(guarded);
-        crate::index::indexed_nn_search_rows(
-            &wrapped,
-            &prepared.test,
-            &prepared.train,
-            index,
-            warm_start,
-            cache,
-        )
+    // Per-pair rescaling invalidates every precomputed bound; the
+    // wrapper declares no index profile, so each row's plan falls back
+    // to the linear scan on its own.
+    let wrapped = AdaptiveScaled::new(&guarded);
+    let d: &dyn Distance = if norm.is_pairwise() {
+        &wrapped
     } else {
-        crate::index::indexed_nn_search_rows(
-            &guarded,
-            &prepared.test,
-            &prepared.train,
-            index,
-            warm_start,
-            cache,
-        )
+        &guarded
     };
+    let search = Search {
+        index,
+        cache,
+        ..Search::new(d, train, warm_start)
+    };
+    let (nns, _) = search.nn(test);
     if let Some((i, j)) = nns
         .iter()
         .enumerate()
@@ -613,6 +481,7 @@ pub fn try_evaluate_embedding_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::Eval;
     use tsdist_core::elastic::Dtw;
     use tsdist_core::kernel::Rbf;
     use tsdist_core::lockstep::Euclidean;
@@ -626,8 +495,12 @@ mod tests {
     #[test]
     fn euclidean_beats_chance_on_shape_data() {
         let ds = easy_dataset();
-        #[allow(deprecated)]
-        let acc = evaluate_distance(&Euclidean, &ds, Normalization::ZScore);
+        let acc = Eval::new(&Euclidean)
+            .on(&ds)
+            .run()
+            .unwrap()
+            .accuracy
+            .unwrap();
         let chance = 1.0 / ds.n_classes() as f64;
         assert!(acc > chance, "acc {acc} <= chance {chance}");
     }
@@ -676,8 +549,12 @@ mod tests {
     #[test]
     fn adaptive_scaling_normalization_runs_via_wrapper() {
         let ds = easy_dataset();
-        #[allow(deprecated)]
-        let acc = evaluate_distance(&Euclidean, &ds, Normalization::AdaptiveScaling);
+        let report = Eval::new(&Euclidean)
+            .on(&ds)
+            .normalized(Normalization::AdaptiveScaling)
+            .run()
+            .unwrap();
+        let acc = report.accuracy.unwrap();
         assert!((0.0..=1.0).contains(&acc));
     }
 }

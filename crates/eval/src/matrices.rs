@@ -20,7 +20,7 @@
 //! # No cutoffs here — deliberately
 //!
 //! The batch engine never threads `Distance::distance_upto` cutoffs, even
-//! though the pruned 1-NN engine ([`crate::pruned`]) exists: these
+//! though the 1-NN scan engine ([`crate::scan`]) exists: these
 //! matrices feed Wilcoxon/Friedman/Nemenyi statistics and LOOCV tuning,
 //! which consume *every* entry, so an early-abandoned (`>=` cutoff,
 //! typically infinite) entry would silently corrupt rank computations —

@@ -1,17 +1,15 @@
 //! The consolidated evaluation request: one builder, one `run()`.
 //!
-//! [`Eval`] subsumes the historical trio of unsupervised distance entry
-//! points (`evaluate_distance` / `try_evaluate_distance` /
-//! `evaluate_distance_pruned`) behind a single typed request that the
+//! [`Eval`] is the single typed unsupervised evaluation request that the
 //! CLI, the query server (`tsdist-serve`), and the study runner share
 //! verbatim — one request type flows from wire format to inner loop.
 //!
 //! Two modes, selected by whether [`EvalRequest::queries`] was called:
 //!
 //! * **Dataset mode** (default): classify the dataset's own test split
-//!   against its train split and report the accuracy — exactly what the
-//!   deprecated trio computed, including the NaN/±Inf screen of the
-//!   `try_` variants.
+//!   against its train split and report Algorithm 1's accuracy (or the
+//!   k-NN majority-vote accuracy), with the NaN/±Inf screen of the cell
+//!   runner.
 //! * **Query mode**: answer ad-hoc 1-NN / k-NN queries against the train
 //!   split, one [`Answer`] per query. Queries go through the same
 //!   preprocessing pipeline as dataset series, and answers are
@@ -31,14 +29,11 @@ use std::time::Duration;
 use crate::cell::{CancelFlag, CancelPanic, GuardedDistance, Watchdog};
 use crate::error::EvalError;
 use crate::evaluator::{
-    distance_cell_indexed_prepared, distance_cell_prepared, distance_cell_pruned_prepared, prepare,
-    preprocess_series,
+    distance_cell_prepared, distance_cell_scan_prepared, prepare, preprocess_series,
 };
-use crate::index::{indexed_knn_search_rows, indexed_nn_search_rows, knn_accuracy_indexed_core};
 use crate::knn::majority_vote;
 use crate::matrices::distance_matrix;
-use crate::pruned::{knn_accuracy_core, pruned_knn_search_rows, pruned_nn_search_rows};
-use crate::runtime::EnvelopeCache;
+use crate::scan::{check_shapes, knn_vote_accuracy, EnvelopeCache, NearestNeighbour, Search};
 use tsdist_core::measure::Distance;
 use tsdist_core::normalization::{AdaptiveScaled, Normalization};
 use tsdist_core::TrainIndex;
@@ -156,12 +151,14 @@ impl<'a> EvalRequest<'a> {
     /// Search through a caller-owned [`TrainIndex`] built over this
     /// dataset's **prepared** train split: rows with an admissible plan
     /// skip candidates via the PAA lower-bound cascade or metric pivot
-    /// bounds, everything else takes the usual scan. Answers and
+    /// bounds, everything else takes the linear scan. Answers and
     /// accuracies are byte-identical with or without the index — it only
-    /// changes how much work is done. Building the index on anything
-    /// other than the prepared split the request will search violates
-    /// the contract (like a wrong `assume_prepared`); a split of a
-    /// *different size* is detected and ignored.
+    /// changes how much work is done. An index takes precedence over
+    /// `pruned(false)`: an indexed request always scans, never builds
+    /// the matrix. Building the index on anything other than the
+    /// prepared split the request will search violates the contract
+    /// (like a wrong `assume_prepared`); a split of a *different size*
+    /// is detected and ignored.
     pub fn indexed(mut self, index: &'a TrainIndex) -> Self {
         self.index = Some(index);
         self
@@ -225,8 +222,8 @@ impl<'a> EvalRequest<'a> {
         }
     }
 
-    /// Dataset mode: the accuracy paths of the deprecated trio (plus
-    /// their k-NN generalization).
+    /// Dataset mode: the test-split accuracy, from the matrix or from
+    /// the scan engine (`pruned(true)` or an index).
     fn run_dataset(&self, ds: &Dataset, flag: &CancelFlag) -> Result<EvalReport, EvalError> {
         let prepared_storage;
         let prepared: &Dataset = if self.assume_prepared {
@@ -236,57 +233,32 @@ impl<'a> EvalRequest<'a> {
             &prepared_storage
         };
         let accuracy = if self.k == 1 {
-            let cell = if let Some(ix) = self.index {
-                distance_cell_indexed_prepared(
+            let cell = if self.scans() {
+                distance_cell_scan_prepared(
                     self.measure,
                     prepared,
                     self.norm,
                     flag,
-                    ix,
+                    self.index,
                     self.warm_start,
                     self.cache,
                 )
-            } else if self.pruned {
-                distance_cell_pruned_prepared(self.measure, prepared, self.norm, flag)
             } else {
                 distance_cell_prepared(self.measure, prepared, self.norm, flag)
             };
             cell.map_err(EvalError::from)?.accuracy
         } else {
+            let (test, train) = (&prepared.test, &prepared.train);
+            let (test_labels, train_labels) = (&prepared.test_labels, &prepared.train_labels);
             let guarded = GuardedDistance::new(self.measure, flag);
             let knn = |d: &dyn Distance| -> Result<f64, EvalError> {
-                if let Some(ix) = self.index {
-                    knn_accuracy_indexed_core(
-                        d,
-                        &prepared.test,
-                        &prepared.train,
-                        &prepared.test_labels,
-                        &prepared.train_labels,
-                        self.k,
-                        self.warm_start,
-                        ix,
-                        self.cache,
-                    )
-                } else if self.pruned {
-                    knn_accuracy_core(
-                        d,
-                        &prepared.test,
-                        &prepared.train,
-                        &prepared.test_labels,
-                        &prepared.train_labels,
-                        self.k,
-                        self.warm_start,
-                        self.cache,
-                    )
-                } else {
-                    let e = distance_matrix(d, &prepared.test, &prepared.train);
-                    crate::knn::try_knn_accuracy(
-                        &e,
-                        &prepared.test_labels,
-                        &prepared.train_labels,
-                        self.k,
-                    )
+                if !self.scans() {
+                    let e = distance_matrix(d, test, train);
+                    return crate::knn::try_knn_accuracy(&e, test_labels, train_labels, self.k);
                 }
+                check_shapes(test.len(), train.len(), test_labels, train_labels)?;
+                let (rows, _) = self.search(d, train).knn(test, self.k);
+                Ok(knn_vote_accuracy(&rows, test_labels, train_labels))
             };
             if self.norm.is_pairwise() {
                 knn(&AdaptiveScaled::new(guarded))?
@@ -298,6 +270,21 @@ impl<'a> EvalRequest<'a> {
             accuracy: Some(accuracy),
             answers: Vec::new(),
         })
+    }
+
+    /// Whether the request runs the scan engine instead of building the
+    /// matrix: `pruned(true)`, or any index (which takes precedence).
+    fn scans(&self) -> bool {
+        self.pruned || self.index.is_some()
+    }
+
+    /// The scan this request runs over `train`.
+    fn search<'s>(&'s self, d: &'s dyn Distance, train: &'s [Vec<f64>]) -> Search<'s> {
+        Search {
+            index: self.index,
+            cache: self.cache,
+            ..Search::new(d, train, self.warm_start)
+        }
     }
 
     /// Query mode: per-query answers against the prepared train split.
@@ -346,18 +333,9 @@ impl<'a> EvalRequest<'a> {
         train: &[Vec<f64>],
         train_labels: &[Label],
     ) -> Vec<Answer> {
-        // A cache built on a different split (or not on the prepared
-        // series) must not be consulted; length equality is re-checked
-        // per query inside the ordering itself.
-        let cache = self.cache.filter(|c| c.len() == train.len());
-        // A mismatched index is additionally re-checked (and demoted to
-        // all-linear rows) inside the indexed search itself.
-        let index = self.index.filter(|ix| ix.len() == train.len());
         if self.k == 1 {
-            let nns = if let Some(ix) = index {
-                indexed_nn_search_rows(d, queries, train, ix, self.warm_start, cache).0
-            } else if self.pruned {
-                pruned_nn_search_rows(d, queries, train, self.warm_start, cache)
+            let nns = if self.scans() {
+                self.search(d, train).nn(queries).0
             } else {
                 exact_nn_rows(d, queries, train)
             };
@@ -372,10 +350,8 @@ impl<'a> EvalRequest<'a> {
                 })
                 .collect()
         } else {
-            let rows = if let Some(ix) = index {
-                indexed_knn_search_rows(d, queries, train, ix, self.k, self.warm_start, cache).0
-            } else if self.pruned {
-                pruned_knn_search_rows(d, queries, train, self.k, self.warm_start, cache)
+            let rows = if self.scans() {
+                self.search(d, train).knn(queries, self.k).0
             } else {
                 exact_knn_rows(d, queries, train, self.k)
             };
@@ -412,7 +388,7 @@ fn exact_nn_rows(
     d: &dyn Distance,
     queries: &[Vec<f64>],
     train: &[Vec<f64>],
-) -> Vec<crate::pruned::NearestNeighbour> {
+) -> Vec<NearestNeighbour> {
     let e = distance_matrix(d, queries, train);
     (0..e.rows())
         .map(|i| {
@@ -425,7 +401,7 @@ fn exact_nn_rows(
                     index = Some(j);
                 }
             }
-            crate::pruned::NearestNeighbour {
+            NearestNeighbour {
                 index,
                 distance: if index.is_some() { best } else { f64::INFINITY },
                 non_finite: row.iter().position(|v| !v.is_finite()),
@@ -500,11 +476,13 @@ mod tests {
     }
 
     #[test]
-    fn dataset_mode_matches_the_deprecated_trio() {
+    fn dataset_mode_matches_the_matrix_path() {
         let ds = dataset();
         for norm in [Normalization::ZScore, Normalization::MinMax] {
-            #[allow(deprecated)]
-            let legacy = crate::evaluator::evaluate_distance(&Euclidean, &ds, norm);
+            let prepared = prepare(&ds, norm);
+            let e = distance_matrix(&Euclidean, &prepared.test, &prepared.train);
+            let legacy =
+                crate::nn::one_nn_accuracy(&e, &prepared.test_labels, &prepared.train_labels);
             let exact = Eval::new(&Euclidean)
                 .on(&ds)
                 .normalized(norm)
@@ -554,7 +532,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.answers.len(), ds.test.len());
         let prepared = prepare(&ds, Normalization::ZScore);
-        let nns = crate::pruned::pruned_nn_search(
+        let nns = crate::scan::pruned_nn_search(
             &Dtw::with_window_pct(10.0),
             &prepared.test,
             &prepared.train,
@@ -592,7 +570,7 @@ mod tests {
         // Pre-prepare the train split once, as a serve shard would.
         let mut prepared = prepare(&ds, Normalization::ZScore);
         prepared.test = ds.test.clone(); // raw queries, prepared train
-        let cache = EnvelopeCache::build(&prepared.train, 0);
+        let cache = EnvelopeCache::build(&prepared.train);
         let cached = Eval::new(&Euclidean)
             .on(&prepared)
             .queries(&ds.test)

@@ -3,24 +3,33 @@
 //! kill/resume equivalence, and the lenient archive loader feeding a
 //! study over the surviving datasets.
 
-// The cancellable `try_evaluate_distance` shim stays covered here until
-// removal: runner integration must keep working for callers that have
-// not migrated to the `Eval` builder yet.
-#![allow(deprecated)]
-
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use tsdist_core::chaos::{ChaosDistance, Fault, Schedule};
 use tsdist_core::lockstep::{Euclidean, Lorentzian};
+use tsdist_core::measure::Distance;
 use tsdist_core::normalization::Normalization;
 use tsdist_data::synthetic::{generate_archive, generate_dataset, ArchiveConfig};
 use tsdist_data::ucr::write_ucr_dataset;
 use tsdist_data::{load_ucr_archive_lenient, Dataset};
 use tsdist_eval::{
-    cell_key, run_study, run_study_resumable, try_evaluate_distance, CellError, CellOutcome,
-    CellRunner, Entrant, Evaluation, RunnerConfig,
+    cell_key, run_study, run_study_resumable, CancelFlag, CellError, CellOutcome, CellRunner,
+    Entrant, Eval, Evaluation, RunnerConfig,
 };
+
+/// One unsupervised z-score cell through the `Eval` builder, cancellable
+/// by the runner's flag.
+fn eval_cell(d: &dyn Distance, ds: &Dataset, flag: &CancelFlag) -> Result<Evaluation, CellError> {
+    let report = Eval::new(d)
+        .on(ds)
+        .normalized(Normalization::ZScore)
+        .cancelled_by(flag)
+        .run()?;
+    Ok(Evaluation::unsupervised(
+        report.accuracy.expect("dataset mode reports an accuracy"),
+    ))
+}
 
 fn quick_archive(n: usize) -> Vec<Dataset> {
     generate_archive(&ArchiveConfig::quick(n, 42))
@@ -86,7 +95,7 @@ fn nan_cells_are_classified_as_non_finite_distance() {
     let chaos = ChaosDistance::new(Euclidean, Fault::Value(f64::NAN), Schedule::Always);
     let runner = CellRunner::new(RunnerConfig::named("chaos-nan"));
     let result = runner.run_cell(&cell_key("Chaos(ED)", &ds.name), |flag| {
-        try_evaluate_distance(&chaos, &ds, Normalization::ZScore, flag)
+        eval_cell(&chaos, &ds, flag)
     });
     assert!(
         matches!(
@@ -111,7 +120,7 @@ fn delayed_cells_blow_the_deadline_and_report_timeout() {
     let config = RunnerConfig::named("chaos-slow").with_deadline(Duration::from_millis(15));
     let runner = CellRunner::new(config);
     let result = runner.run_cell(&cell_key("Slow(ED)", &ds.name), |flag| {
-        try_evaluate_distance(&chaos, &ds, Normalization::ZScore, flag)
+        eval_cell(&chaos, &ds, flag)
     });
     assert_eq!(result.outcome, CellOutcome::TimedOut);
 }
@@ -127,12 +136,11 @@ fn retry_recovers_a_transiently_failing_cell() {
         .with_backoff(Duration::from_millis(1));
     let runner = CellRunner::new(config);
     let result = runner.run_cell(&cell_key("Flaky(ED)", &ds.name), |flag| {
-        try_evaluate_distance(&chaos, &ds, Normalization::ZScore, flag)
+        eval_cell(&chaos, &ds, flag)
     });
 
-    let flag = tsdist_eval::CancelFlag::new();
-    let clean = try_evaluate_distance(&Euclidean, &ds, Normalization::ZScore, &flag)
-        .expect("clean evaluation");
+    let flag = CancelFlag::new();
+    let clean = eval_cell(&Euclidean, &ds, &flag).expect("clean evaluation");
     match result.outcome {
         CellOutcome::Ok(Evaluation { accuracy, .. }) => {
             assert_eq!(accuracy.to_bits(), clean.accuracy.to_bits());
@@ -288,7 +296,7 @@ fn deadline_applies_per_cell_not_per_study() {
     for ds in &archive {
         let result = runner.run_cell(&cell_key("ED", &ds.name), |flag| {
             calls.fetch_add(1, Ordering::SeqCst);
-            try_evaluate_distance(&Euclidean, ds, Normalization::ZScore, flag)
+            eval_cell(&Euclidean, ds, flag)
         });
         assert!(result.outcome.is_ok());
     }

@@ -5,10 +5,11 @@
 //!
 //! An [`Engine`] owns a set of datasets and lazily-built per-`(dataset,
 //! normalization)` state: the [`prepare`]d train split, an
-//! [`EnvelopeCache`] for pruned candidate ordering, and a [`TrainIndex`]
-//! — the sublinear tier (PAA lower-bound cascade for banded DTW, metric
-//! pivot tables for declared metrics) that every query row consults
-//! before falling back to the linear scan. All are built once at shard
+//! [`EnvelopeCache`] (the candidate-order table of the linear scan
+//! plan), and a [`TrainIndex`] — the sublinear tier (PAA lower-bound
+//! cascade for banded DTW, metric pivot tables for declared metrics)
+//! that every query row consults before falling back to the linear
+//! scan. All are built once at shard
 //! prepare time and amortized across every batch the engine answers —
 //! the point of shard-affine routing. Measures resolve once per spec and
 //! persist, so stateful wrappers (fault-injection counters) behave like
@@ -43,10 +44,9 @@ struct PreparedEntry {
     /// The dataset with its train split already preprocessed (queries
     /// run with `assume_prepared`, so this work happens once).
     prepared: Dataset,
-    /// Candidate-ordering cache over the prepared train split. Band 0 is
-    /// deliberate: the ordering is a heuristic shared by every measure
-    /// served from this entry, and answers never depend on it.
-    envelopes: EnvelopeCache,
+    /// Candidate-order table over the prepared train split, shared by
+    /// every measure served from this entry; answers never depend on it.
+    order: EnvelopeCache,
     /// The sublinear tier over the prepared train split, specialized
     /// per served measure by `prepare_measure`. `None` when the engine
     /// was built with the index disabled.
@@ -263,13 +263,13 @@ impl Engine {
         let index_enabled = self.index_enabled;
         let entry = self.prepared.entry(key.clone()).or_insert_with(|| {
             let prepared = prepare(ds, q0.norm);
-            let envelopes = EnvelopeCache::build(&prepared.train, 0);
+            let order = EnvelopeCache::build(&prepared.train);
             // Shard prepare time: the summary index is built here, once
             // per (dataset, normalization), and reused by every batch.
             let index = index_enabled.then(|| TrainIndex::build(&prepared.train));
             PreparedEntry {
                 prepared,
-                envelopes,
+                order,
                 index,
                 index_failed: BTreeSet::new(),
             }
@@ -314,7 +314,7 @@ impl Engine {
             .k(q0.k)
             .pruned(q0.pruned)
             .assume_prepared(true)
-            .with_cache(&entry.envelopes)
+            .with_cache(&entry.order)
             .cancelled_by(&flag);
         if let Some(ix) = &entry.index {
             eval = eval.indexed(ix);

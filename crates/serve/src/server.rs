@@ -7,7 +7,7 @@
 //!  client ── TCP ──▶ reader thread ── try_send ──▶ shard 0 worker ◀─ monitor
 //!     ▲                 │    │                     (owns its datasets,   │
 //!     │                 │    └─ try_send ────▶ shard 1 worker  prepared  │
-//!     └── writer thread ◀── mpsc ◀── responses ──┘   splits, envelope   restart
+//!     └── writer thread ◀── mpsc ◀── responses ──┘   splits, order      restart
 //!                                                    + answer caches)  on panic
 //! ```
 //!

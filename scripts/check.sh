@@ -14,6 +14,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo test -q"
 cargo test -q --workspace --offline
 
+# perfbench is its own workspace root (not a member above) but imports
+# the tsdist-eval/tsdist-serve API, so build it and run its tests here.
+echo "==> perfbench tests (the benchmark against the current library API)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
 TSDIST=target/debug/tsdist
