@@ -6,7 +6,7 @@
 //! * **lock-step** — the multi-lane `chunks_exact` reductions
 //!   (`lanes::lane_sum` family) vs a sequential zip fold of the same
 //!   term, in GB/s of series data touched (two `f64` slices per pair);
-//! * **DP** — the anti-diagonal wavefront DTW/WDTW vs the row-major
+//! * **DP** — the anti-diagonal wavefront DTW/WDTW/MSM vs the row-major
 //!   reference kernels, in DP cells/s.
 //!
 //! The scalar twins live in this binary on purpose: they are the
@@ -267,6 +267,30 @@ fn main() {
             cells_per_sec_wavefront: full_cells as f64 / wavefront_seconds.max(1e-12),
             identical_bits,
             lanes_hint: wdtw.lanes_hint(),
+        });
+    }
+    {
+        let msm = Msm::new(0.5);
+        let wavefront_seconds = median_seconds(reps, || {
+            dp_inputs
+                .iter()
+                .map(|(x, y)| msm.distance_ws(x, y, &mut ws))
+                .sum()
+        });
+        let rowmajor_seconds = median_seconds(reps, || {
+            dp_inputs.iter().map(|(x, y)| msm.distance(x, y)).sum()
+        });
+        let identical_bits = dp_inputs
+            .iter()
+            .all(|(x, y)| msm.distance_ws(x, y, &mut ws).to_bits() == msm.distance(x, y).to_bits());
+        dp_rows.push(DpRow {
+            name: "MSM(c=0.5)",
+            rowmajor_seconds,
+            wavefront_seconds,
+            cells_per_sec_rowmajor: full_cells as f64 / rowmajor_seconds.max(1e-12),
+            cells_per_sec_wavefront: full_cells as f64 / wavefront_seconds.max(1e-12),
+            identical_bits,
+            lanes_hint: msm.lanes_hint(),
         });
     }
     for row in &dp_rows {

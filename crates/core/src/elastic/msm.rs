@@ -5,6 +5,11 @@
 //! constant `c`) — and, unlike DTW/LCSS/EDR, is a *metric*. It is one of
 //! the two measures (with TWE) that the paper finds significantly better
 //! than DTW, debunking M4.
+//!
+//! `Msm::distance` is the allocating row-major reference; the dispatched
+//! `distance_ws` / `distance_upto` are the anti-diagonal kernels in
+//! [`super::wavefront`], bit-identical to it. All three share the one
+//! branch-free cost function `Msm::c`.
 
 use crate::measure::Distance;
 use crate::workspace::Workspace;
@@ -30,12 +35,23 @@ impl Msm {
     /// The split/merge cost function C(new, adjacent, opposite):
     /// `c` when `new` lies between its neighbours, otherwise `c` plus the
     /// distance to the nearer neighbour.
-    #[inline]
-    fn c(&self, new: f64, adjacent: f64, opposite: f64) -> f64 {
-        if (adjacent <= new && new <= opposite) || (adjacent >= new && new >= opposite) {
+    ///
+    /// Branch-free: both candidate costs are computed and the non-short-
+    /// circuit `&`/`|` between-test picks one with a select, so the
+    /// wavefront kernels' inner loops vectorize. The select returns
+    /// exactly the expression an `if`/`else` on the same test would
+    /// evaluate, so the bits do not depend on which form the compiler
+    /// emits (NaN operands fail every comparison and take the "outside"
+    /// arm).
+    #[inline(always)]
+    pub(crate) fn c(&self, new: f64, adjacent: f64, opposite: f64) -> f64 {
+        let between =
+            ((adjacent <= new) & (new <= opposite)) | ((adjacent >= new) & (new >= opposite));
+        let outside = self.cost + (new - adjacent).abs().min((new - opposite).abs());
+        if between {
             self.cost
         } else {
-            self.cost + (new - adjacent).abs().min((new - opposite).abs())
+            outside
         }
     }
 }
@@ -75,154 +91,22 @@ impl Distance for Msm {
     }
 
     fn distance_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        // Row-major, deliberately NOT the wavefront: the branchy cost
-        // function `c` blocks vectorization either way, so diagonal order
-        // buys no lanes while its reversed-`y` gather and boundary
-        // branches cost ~2x wall-clock (measured in bench_prune). The
-        // wavefront schedule lives on as `wavefront_ws`, pinned
-        // bit-identical by the tests, for when the recurrence is ever
-        // made branchless.
-        let m = x.len();
-        let n = y.len();
-        if m == 0 || n == 0 {
-            return if m == n { 0.0 } else { f64::INFINITY };
-        }
-
-        let (mut prev, mut curr) = ws.dp_rows2(n);
-
-        // Row 0.
-        prev[0] = (x[0] - y[0]).abs();
-        for j in 1..n {
-            // tsdist-lint: allow(hot-path-bounds-check, reason = "branchy threshold recurrence; the comparison chain, not the bounds check, dominates and blocks vectorization")
-            prev[j] = prev[j - 1] + self.c(y[j], y[j - 1], x[0]);
-        }
-
-        for i in 1..m {
-            // tsdist-lint: allow(hot-path-bounds-check, reason = "branchy threshold recurrence; the comparison chain, not the bounds check, dominates and blocks vectorization")
-            curr[0] = prev[0] + self.c(x[i], x[i - 1], y[0]);
-            for j in 1..n {
-                let move_cost = prev[j - 1] + (x[i] - y[j]).abs();
-                let split_x = prev[j] + self.c(x[i], x[i - 1], y[j]);
-                let merge_y = curr[j - 1] + self.c(y[j], x[i], y[j - 1]);
-                curr[j] = move_cost.min(split_x).min(merge_y);
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        prev[n - 1]
+        // The anti-diagonal wavefront kernel: bit-identical to the
+        // row-major `distance` (same per-cell dataflow), but free of its
+        // left-neighbour dependency chain, so the branch-free recurrence
+        // vectorizes.
+        super::wavefront::msm_wavefront_ws(self, x, y, ws)
     }
 
     fn distance_upto(&self, x: &[f64], y: &[f64], ws: &mut Workspace, cutoff: f64) -> f64 {
         if cutoff.is_nan() || cutoff == f64::INFINITY {
             return self.distance_ws(x, y, ws);
         }
-        let m = x.len();
-        let n = y.len();
-        if m == 0 || n == 0 {
-            return if m == n { 0.0 } else { f64::INFINITY };
-        }
-        const INF: f64 = f64::INFINITY;
-        if cutoff.is_nan() || cutoff <= 0.0 {
-            return INF;
-        }
-        let (mut prev, mut curr) = ws.dp_rows2(n);
-
-        // Row 0 is exact; `c(..) >= 0` keeps it non-decreasing, so the
-        // live window is the prefix `[0, p_hi]` (or the row is dead).
-        prev[0] = (x[0] - y[0]).abs();
-        let mut p_hi = 0usize;
-        let mut row0_live = prev[0] < cutoff;
-        for j in 1..n {
-            // tsdist-lint: allow(hot-path-bounds-check, reason = "pruned-window DP: the live window is data-dependent, so loop-variable indexing is inherent and bounded by the window clamps")
-            prev[j] = prev[j - 1] + self.c(y[j], y[j - 1], x[0]);
-            if prev[j] < cutoff {
-                p_hi = j;
-                row0_live = true;
-            }
-        }
-        if !row0_live {
-            return INF;
-        }
-        let mut p_lo = 0usize;
-        for i in 1..m {
-            curr.fill(INF);
-            // Column 0 (split chain) stays exact so liveness can re-enter
-            // from the left.
-            // tsdist-lint: allow(hot-path-bounds-check, reason = "pruned-window DP: the live window is data-dependent, so loop-variable indexing is inherent and bounded by the window clamps")
-            curr[0] = prev[0] + self.c(x[i], x[i - 1], y[0]);
-            let mut live_lo = usize::MAX;
-            let mut live_hi = 0usize;
-            if curr[0] < cutoff {
-                live_lo = 0;
-            }
-            let start = if live_lo == 0 { 1 } else { p_lo.max(1) };
-            for j in start..n {
-                if j > p_hi + 1 && curr[j - 1] >= cutoff {
-                    break;
-                }
-                let move_cost = prev[j - 1] + (x[i] - y[j]).abs();
-                let split_x = prev[j] + self.c(x[i], x[i - 1], y[j]);
-                let merge_y = curr[j - 1] + self.c(y[j], x[i], y[j - 1]);
-                let v = move_cost.min(split_x).min(merge_y);
-                curr[j] = v;
-                if v < cutoff {
-                    if live_lo == usize::MAX {
-                        live_lo = j;
-                    }
-                    live_hi = j;
-                }
-            }
-            if live_lo == usize::MAX {
-                return INF;
-            }
-            p_lo = live_lo;
-            p_hi = live_hi;
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        prev[n - 1]
+        super::wavefront::msm_wavefront_pruned(self, x, y, cutoff, ws).0
     }
-}
 
-impl Msm {
-    /// Anti-diagonal wavefront schedule for the MSM recurrence, kept as a
-    /// bit-identical alternative kernel (see the `distance_ws` note for
-    /// why it is not the dispatch target). Cells on diagonal `d = i + j`,
-    /// indexed by `i`, depend only on the two previous diagonals; per-cell
-    /// dataflow — cost expressions and `min` operand order — matches the
-    /// row-major kernel exactly.
-    pub fn wavefront_ws(&self, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
-        let m = x.len();
-        let n = y.len();
-        if m == 0 || n == 0 {
-            return if m == n { 0.0 } else { f64::INFINITY };
-        }
-        let (mut p2, mut p1, mut cur, _) = ws.diag_scratch(m, 0);
-
-        // Diagonal 0 is the single corner cell.
-        p1[0] = (x[0] - y[0]).abs();
-        for d in 1..=(m + n - 2) {
-            // Row-0 cell (0, d): the same chain as the row-major row 0,
-            // one term per diagonal.
-            if d < n {
-                // tsdist-lint: allow(hot-path-bounds-check, reason = "diagonal index arithmetic (j = d - i) and O(1) boundary cells have no slice-friendly form; every index is proven in-bounds by the diagonal-range algebra")
-                cur[0] = p1[0] + self.c(y[d], y[d - 1], x[0]);
-            }
-            // Column-0 cell (d, 0): the split chain down column 0.
-            if d < m {
-                cur[d] = p1[d - 1] + self.c(x[d], x[d - 1], y[0]);
-            }
-            let lo = 1.max(d.saturating_sub(n - 1));
-            let hi = (m - 1).min(d - 1);
-            for i in lo..=hi {
-                let j = d - i;
-                let move_cost = p2[i - 1] + (x[i] - y[j]).abs();
-                let split_x = p1[i - 1] + self.c(x[i], x[i - 1], y[j]);
-                let merge_y = p1[i] + self.c(y[j], x[i], y[j - 1]);
-                cur[i] = move_cost.min(split_x).min(merge_y);
-            }
-            std::mem::swap(&mut p2, &mut p1);
-            std::mem::swap(&mut p1, &mut cur);
-        }
-        p1[m - 1]
+    fn lanes_hint(&self) -> usize {
+        crate::lanes::LANES
     }
 }
 
@@ -303,7 +187,7 @@ mod tests {
     }
 
     #[test]
-    fn wavefront_schedule_is_bit_identical_to_the_dispatch_kernel() {
+    fn dispatch_kernel_is_bit_identical_to_the_row_major_reference() {
         let mut ws = Workspace::default();
         let d = Msm::new(0.5);
         for (m, n) in [(1, 1), (1, 9), (7, 7), (9, 1), (17, 23), (64, 64)] {
@@ -313,8 +197,8 @@ mod tests {
             let y: Vec<f64> = (0..n)
                 .map(|i| ((i * 53 + 5) % 23) as f64 * 0.2 - 1.5)
                 .collect();
-            let row_major = d.distance_ws(&x, &y, &mut ws);
-            let wave = d.wavefront_ws(&x, &y, &mut ws);
+            let row_major = d.distance(&x, &y);
+            let wave = d.distance_ws(&x, &y, &mut ws);
             assert_eq!(row_major.to_bits(), wave.to_bits(), "m={m} n={n}");
         }
     }

@@ -1,4 +1,4 @@
-//! Anti-diagonal wavefront layouts for the banded DP kernels.
+//! Anti-diagonal wavefront layouts for the DP kernels (DTW, WDTW, MSM).
 //!
 //! A row-major DTW sweep carries a loop dependency through `curr[j - 1]`:
 //! every cell waits on its left neighbour, so the inner loop runs at the
@@ -54,7 +54,17 @@
 //! from three diagonals ago is neutralized by INF-filling a fixed ±2
 //! margin around the union of this and the previous diagonal's computed
 //! spans, which contains every future read of this row.
+//!
+//! ## MSM
+//!
+//! [`msm_wavefront_ws`] / [`msm_wavefront_pruned`] run the same schedule
+//! over MSM's unpadded `m x n` table (`d = i + j`, rows of length `m`):
+//! its boundary row and column are split/merge chains, not INF, so they
+//! are computed as scalar cells and only the interior is the vectorized
+//! map. The moves are DTW's and every step cost is `>= 0`, so the pruned
+//! variant reuses the live-window rule and the ±2 fill margin above.
 
+use super::msm::Msm;
 use crate::workspace::Workspace;
 
 const INF: f64 = f64::INFINITY;
@@ -67,6 +77,85 @@ fn band_range(d: usize, m: usize, n: usize, band: usize) -> (usize, usize) {
         .max(d.saturating_sub(band).div_ceil(2));
     let hi = m.min(d - 1).min((d + band) / 2);
     (lo, hi)
+}
+
+/// An empty live window.
+const DEAD: (usize, usize) = (usize::MAX, 0);
+
+/// The live-window state shared by the pruned wavefronts: the live
+/// windows (first/last index with value `< cutoff`; [`DEAD`] when empty)
+/// of diagonals `d-1` and `d-2`, and the previous diagonal's computed
+/// span.
+struct LiveWindows {
+    l1: (usize, usize),
+    l2: (usize, usize),
+    prev: (usize, usize),
+}
+
+impl LiveWindows {
+    fn new(l1: (usize, usize), l2: (usize, usize)) -> Self {
+        LiveWindows {
+            l1,
+            l2,
+            prev: (0, 0),
+        }
+    }
+
+    /// Two consecutive fully-dead diagonals: every warping path crosses
+    /// at least one of them, so the distance is `>= cutoff`.
+    #[inline]
+    fn abandoned(&self) -> bool {
+        self.l1.0 == usize::MAX && self.l2.0 == usize::MAX
+    }
+
+    /// The span `[clo, chi]` (empty when `clo > chi`) of the next
+    /// diagonal's in-range cells `[blo, bhi]` that have a potentially-live
+    /// predecessor: the diagonal move reaches `i` from `l2` at `i-1`, the
+    /// top/left moves from `l1` at `i-1` / `i`. First INF-fills `row` (the
+    /// next diagonal's buffer) wherever a future diagonal might read a
+    /// stale value from three diagonals ago.
+    #[inline]
+    fn open(&mut self, blo: usize, bhi: usize, row: &mut [f64]) -> (usize, usize) {
+        let (mut rlo, mut rhi) = DEAD;
+        if self.l1.0 != usize::MAX {
+            rlo = self.l1.0;
+            rhi = self.l1.1 + 1;
+        }
+        if self.l2.0 != usize::MAX {
+            rlo = rlo.min(self.l2.0 + 1);
+            rhi = rhi.max(self.l2.1 + 1);
+        }
+        let clo = blo.max(rlo);
+        let chi = bhi.min(rhi);
+        let eff = if clo <= chi { (clo, chi) } else { self.prev };
+        let fs_lo = eff.0.min(self.prev.0).saturating_sub(2);
+        let fs_hi = (eff.1.max(self.prev.1) + 2).min(row.len() - 1);
+        row[fs_lo..=fs_hi].fill(INF);
+        self.prev = eff;
+        (clo, chi)
+    }
+
+    /// Shifts in the live window of the diagonal just computed, whose
+    /// computed cells `out` start at index `clo`. A separate pass keeps
+    /// the DP loops branch-free.
+    #[inline]
+    fn close(&mut self, out: &[f64], clo: usize, cutoff: f64) {
+        let mut live = DEAD;
+        if let Some(f) = out.iter().position(|&v| v < cutoff) {
+            // `rposition` cannot miss once `position` hit, but fall back
+            // to `f` rather than panic.
+            let l = out.iter().rposition(|&v| v < cutoff).unwrap_or(f);
+            live = (clo + f, clo + l);
+        }
+        self.l2 = self.l1;
+        self.l1 = live;
+    }
+
+    /// Whether index `i` of the last diagonal is in its live window.
+    #[inline]
+    fn live_at(&self, i: usize) -> bool {
+        self.l1.0 <= i && i <= self.l1.1
+    }
 }
 
 /// Anti-diagonal banded DTW with squared local costs: the vectorized
@@ -150,42 +239,17 @@ pub fn dtw_wavefront_pruned(
     p1.fill(INF);
     p2[0] = 0.0;
 
-    // Live windows (first/last index with value < cutoff; lo == MAX means
-    // empty) of diagonals d-1 / d-2, and the previous computed span.
-    let (mut l1_lo, mut l1_hi) = (usize::MAX, 0usize);
-    let (mut l2_lo, mut l2_hi) = (0usize, 0usize);
-    let (mut pclo, mut pchi) = (0usize, 0usize);
+    // Diagonal 0 holds only the live origin; diagonal 1 holds no cell.
+    let mut lw = LiveWindows::new(DEAD, (0, 0));
     let mut cells = 0u64;
 
     for d in 2..=(m + n) {
-        if l1_lo == usize::MAX && l2_lo == usize::MAX {
-            // Two consecutive fully-dead diagonals: every warping path
-            // crosses at least one of them, so the distance is >= cutoff.
+        if lw.abandoned() {
             return (INF, cells);
         }
         let (blo, bhi) = band_range(d, m, n, band);
-        // Indices with a potentially-live predecessor: the diagonal move
-        // reaches i from l2 at i-1, the top/left moves from l1 at i-1 / i.
-        let mut rlo = usize::MAX;
-        let mut rhi = 0usize;
-        if l1_lo != usize::MAX {
-            rlo = l1_lo;
-            rhi = l1_hi + 1;
-        }
-        if l2_lo != usize::MAX {
-            rlo = rlo.min(l2_lo + 1);
-            rhi = rhi.max(l2_hi + 1);
-        }
-        let clo = blo.max(rlo);
-        let chi = bhi.min(rhi);
-        let (eff_lo, eff_hi) = if clo <= chi { (clo, chi) } else { (pclo, pchi) };
-        // Neutralize stale values from three diagonals ago everywhere a
-        // future diagonal might read this row.
-        let fs_lo = eff_lo.min(pclo).saturating_sub(2);
-        let fs_hi = (eff_hi.max(pchi) + 2).min(m);
-        cur[fs_lo..=fs_hi].fill(INF);
-
-        let (mut nl_lo, mut nl_hi) = (usize::MAX, 0usize);
+        let (clo, chi) = lw.open(blo, bhi, cur);
+        let mut live: &[f64] = &[];
         if clo <= chi {
             let len = chi - clo + 1;
             let yb = n + clo - d;
@@ -202,27 +266,14 @@ pub fn dtw_wavefront_pruned(
                 out[k] = diff * diff + best;
             }
             cells += len as u64;
-            // Live-window scan as a separate pass keeps the DP loop
-            // branch-free.
-            if let Some(f) = out.iter().position(|&v| v < cutoff) {
-                // `rposition` cannot miss once `position` hit, but fall
-                // back to `f` rather than panic.
-                let l = out.iter().rposition(|&v| v < cutoff).unwrap_or(f);
-                nl_lo = clo + f;
-                nl_hi = clo + l;
-            }
+            live = out;
         }
-        l2_lo = l1_lo;
-        l2_hi = l1_hi;
-        l1_lo = nl_lo;
-        l1_hi = nl_hi;
-        pclo = eff_lo;
-        pchi = eff_hi;
+        lw.close(live, clo, cutoff);
         std::mem::swap(&mut p2, &mut p1);
         std::mem::swap(&mut p1, &mut cur);
     }
     // The corner cell is exact iff it sits in the final live window.
-    if l1_lo != usize::MAX && l1_lo <= m && m <= l1_hi && p1[m] < cutoff {
+    if lw.live_at(m) && p1[m] < cutoff {
         (p1[m], cells)
     } else {
         (INF, cells)
@@ -305,35 +356,17 @@ pub fn wdtw_wavefront_pruned(
     p1.fill(INF);
     p2[0] = 0.0;
 
-    let (mut l1_lo, mut l1_hi) = (usize::MAX, 0usize);
-    let (mut l2_lo, mut l2_hi) = (0usize, 0usize);
-    let (mut pclo, mut pchi) = (0usize, 0usize);
+    let mut lw = LiveWindows::new(DEAD, (0, 0));
     let mut cells = 0u64;
 
     for d in 2..=(m + n) {
-        if l1_lo == usize::MAX && l2_lo == usize::MAX {
+        if lw.abandoned() {
             return (INF, cells);
         }
         let blo = 1.max(d.saturating_sub(n));
         let bhi = m.min(d - 1);
-        let mut rlo = usize::MAX;
-        let mut rhi = 0usize;
-        if l1_lo != usize::MAX {
-            rlo = l1_lo;
-            rhi = l1_hi + 1;
-        }
-        if l2_lo != usize::MAX {
-            rlo = rlo.min(l2_lo + 1);
-            rhi = rhi.max(l2_hi + 1);
-        }
-        let clo = blo.max(rlo);
-        let chi = bhi.min(rhi);
-        let (eff_lo, eff_hi) = if clo <= chi { (clo, chi) } else { (pclo, pchi) };
-        let fs_lo = eff_lo.min(pclo).saturating_sub(2);
-        let fs_hi = (eff_hi.max(pchi) + 2).min(m);
-        cur[fs_lo..=fs_hi].fill(INF);
-
-        let (mut nl_lo, mut nl_hi) = (usize::MAX, 0usize);
+        let (clo, chi) = lw.open(blo, bhi, cur);
+        let mut live: &[f64] = &[];
         if clo <= chi {
             let len = chi - clo + 1;
             let yb = n + clo - d;
@@ -355,25 +388,170 @@ pub fn wdtw_wavefront_pruned(
                 out[k] = wk[k] * diff * diff + best;
             }
             cells += len as u64;
-            if let Some(f) = out.iter().position(|&v| v < cutoff) {
-                // `rposition` cannot miss once `position` hit, but fall
-                // back to `f` rather than panic.
-                let l = out.iter().rposition(|&v| v < cutoff).unwrap_or(f);
-                nl_lo = clo + f;
-                nl_hi = clo + l;
-            }
+            live = out;
         }
-        l2_lo = l1_lo;
-        l2_hi = l1_hi;
-        l1_lo = nl_lo;
-        l1_hi = nl_hi;
-        pclo = eff_lo;
-        pchi = eff_hi;
+        lw.close(live, clo, cutoff);
         std::mem::swap(&mut p2, &mut p1);
         std::mem::swap(&mut p1, &mut cur);
     }
-    if l1_lo != usize::MAX && l1_lo <= m && m <= l1_hi && p1[m] < cutoff {
+    if lw.live_at(m) && p1[m] < cutoff {
         (p1[m], cells)
+    } else {
+        (INF, cells)
+    }
+}
+
+/// Anti-diagonal MSM: the vectorized engine behind [`super::Msm`].
+/// Bit-identical to the row-major `Msm::distance` (same per-cell
+/// dataflow, `move.min(split).min(merge)`, different schedule).
+///
+/// Unlike DTW there is no padded boundary row: diagonal `d` holds the
+/// cells `(i, j = d - i)` of the `m x n` table indexed by `i`, the row-0
+/// and column-0 split/merge chains are scalar boundary cells, and the
+/// interior is one element-wise map over pre-cut slices of `x[i]`,
+/// `x[i-1]`, `y[j]` and `y[j-1]` (the last two read forward from the
+/// once-reversed `yr`: `y[d-i] = yr[n-1-d+i]`).
+pub fn msm_wavefront_ws(msm: &Msm, x: &[f64], y: &[f64], ws: &mut Workspace) -> f64 {
+    let m = x.len();
+    let n = y.len();
+    if m == 0 || n == 0 {
+        return if m == n { 0.0 } else { INF };
+    }
+    let (mut p2, mut p1, mut cur, yr) = ws.diag_scratch(m, n);
+    for (slot, &v) in yr.iter_mut().zip(y.iter().rev()) {
+        *slot = v;
+    }
+
+    // Diagonal 0 is the single corner cell.
+    p1[0] = (x[0] - y[0]).abs();
+    for d in 1..=(m + n - 2) {
+        // Row-0 cell (0, d) and column-0 cell (d, 0): one link of each
+        // boundary chain per diagonal.
+        if d < n {
+            // tsdist-lint: allow(hot-path-bounds-check, reason = "O(1) boundary cells per diagonal; the interior loop runs over slices pre-cut to `len`, so its checks fold away and it vectorizes")
+            cur[0] = p1[0] + msm.c(y[d], y[d - 1], x[0]);
+        }
+        if d < m {
+            cur[d] = p1[d - 1] + msm.c(x[d], x[d - 1], y[0]);
+        }
+        let lo = 1.max(d.saturating_sub(n - 1));
+        let hi = (m - 1).min(d - 1);
+        if lo <= hi {
+            msm_diagonal(msm, x, yr, p2, p1, cur, d, lo, hi);
+        }
+        std::mem::swap(&mut p2, &mut p1);
+        std::mem::swap(&mut p1, &mut cur);
+    }
+    p1[m - 1]
+}
+
+/// The interior cells `lo..=hi` (all with `i >= 1`, `j >= 1`) of MSM
+/// diagonal `d`: every input is pre-cut to the run length so the loop is
+/// branch- and check-free.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn msm_diagonal(
+    msm: &Msm,
+    x: &[f64],
+    yr: &[f64],
+    p2: &[f64],
+    p1: &[f64],
+    cur: &mut [f64],
+    d: usize,
+    lo: usize,
+    hi: usize,
+) {
+    let n = yr.len();
+    let len = hi - lo + 1;
+    let yb = n - 1 + lo - d;
+    let xi = &x[lo..lo + len];
+    let xp = &x[lo - 1..lo - 1 + len];
+    let yj = &yr[yb..yb + len];
+    let yp = &yr[yb + 1..yb + 1 + len];
+    let pd = &p2[lo - 1..lo - 1 + len];
+    let pt = &p1[lo - 1..lo - 1 + len];
+    let pl = &p1[lo..lo + len];
+    let out = &mut cur[lo..lo + len];
+    for k in 0..len {
+        let move_cost = pd[k] + (xi[k] - yj[k]).abs();
+        let split_x = pt[k] + msm.c(xi[k], xp[k], yj[k]);
+        let merge_y = pl[k] + msm.c(yj[k], xi[k], yp[k]);
+        out[k] = move_cost.min(split_x).min(merge_y);
+    }
+}
+
+/// Cutoff-pruned anti-diagonal MSM with the [`dtw_wavefront_pruned`]
+/// live-window rule. Every MSM step cost is `>= 0` and its three moves
+/// are DTW's (`(i-1, j-1)`, `(i-1, j)`, `(i, j-1)`), so "two consecutive
+/// dead diagonals ⇒ distance ≥ cutoff" and the ±2 stale-scratch margin
+/// carry over unchanged; the boundary chain cells join the computed
+/// span only when their single predecessor is live. Returns
+/// `(distance, dp_cells_computed)` under the
+/// [`crate::measure::Distance::distance_upto`] contract against
+/// [`msm_wavefront_ws`]. `cutoff` must not be NaN; non-positive cutoffs
+/// abandon immediately.
+pub fn msm_wavefront_pruned(
+    msm: &Msm,
+    x: &[f64],
+    y: &[f64],
+    cutoff: f64,
+    ws: &mut Workspace,
+) -> (f64, u64) {
+    let m = x.len();
+    let n = y.len();
+    if m == 0 || n == 0 {
+        return (if m == n { 0.0 } else { INF }, 0);
+    }
+    if cutoff.is_nan() || cutoff <= 0.0 {
+        return (INF, 0);
+    }
+    let (mut p2, mut p1, mut cur, yr) = ws.diag_scratch(m, n);
+    for (slot, &v) in yr.iter_mut().zip(y.iter().rev()) {
+        *slot = v;
+    }
+    p2.fill(INF);
+    p1.fill(INF);
+    cur.fill(INF);
+    p1[0] = (x[0] - y[0]).abs();
+
+    // Diagonal 0 is the corner; the diagonal before it does not exist.
+    let corner = if p1[0] < cutoff { (0, 0) } else { DEAD };
+    let mut lw = LiveWindows::new(corner, DEAD);
+    let mut cells = 1u64;
+
+    for d in 1..=(m + n - 2) {
+        if lw.abandoned() {
+            return (INF, cells);
+        }
+        let blo = d.saturating_sub(n - 1);
+        let bhi = (m - 1).min(d);
+        let (clo, chi) = lw.open(blo, bhi, cur);
+        let mut live: &[f64] = &[];
+        if clo <= chi {
+            // `clo == 0` implies `d < n` (row-0 cell), `chi == d` implies
+            // `d < m` (column-0 cell); each has one, live, predecessor.
+            if clo == 0 {
+                // tsdist-lint: allow(hot-path-bounds-check, reason = "O(1) boundary cells per diagonal; the interior loop runs over slices pre-cut to `len`, so its checks fold away and it vectorizes")
+                cur[0] = p1[0] + msm.c(y[d], y[d - 1], x[0]);
+            }
+            if chi == d {
+                cur[d] = p1[d - 1] + msm.c(x[d], x[d - 1], y[0]);
+            }
+            let lo = clo.max(1);
+            let hi = chi.min(d - 1);
+            if lo <= hi {
+                msm_diagonal(msm, x, yr, p2, p1, cur, d, lo, hi);
+            }
+            cells += (chi - clo + 1) as u64;
+            live = &cur[clo..=chi];
+        }
+        lw.close(live, clo, cutoff);
+        std::mem::swap(&mut p2, &mut p1);
+        std::mem::swap(&mut p1, &mut cur);
+    }
+    // The corner cell is exact iff it sits in the final live window.
+    if lw.live_at(m - 1) && p1[m - 1] < cutoff {
+        (p1[m - 1], cells)
     } else {
         (INF, cells)
     }
@@ -507,6 +685,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn msm_pruned_wavefront_computes_fewer_cells_under_a_tight_cutoff() {
+        let mut ws = crate::workspace::Workspace::new();
+        let x = noise(65, 128);
+        let y = noise(66, 128);
+        let msm = Msm::new(0.5);
+        let exact = msm_wavefront_ws(&msm, &x, &y, &mut ws);
+        let (_, loose) = msm_wavefront_pruned(&msm, &x, &y, exact * 4.0, &mut ws);
+        let (got, tight) = msm_wavefront_pruned(&msm, &x, &y, exact * 1.01, &mut ws);
+        assert_eq!(got.to_bits(), exact.to_bits());
+        assert!(
+            tight < loose,
+            "tight cutoff computed {tight} cells, loose {loose}"
+        );
+        let (dead, early) = msm_wavefront_pruned(&msm, &x, &y, exact * 0.1, &mut ws);
+        assert_eq!(dead, INF);
+        assert!(
+            early < tight,
+            "a dead cutoff abandons early: {early} vs {tight}"
+        );
     }
 
     #[test]

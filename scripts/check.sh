@@ -92,8 +92,10 @@ echo "==> prune-equivalence smoke (exact vs --pruned journals, timing stripped)"
   >"$SMOKE/pruned.txt" 2>/dev/null
 
 # Per-cell journal lines must agree on everything but the wall clock.
-sed 's/"seconds":[^,}]*//' "$SMOKE/exact.ndjson" >"$SMOKE/exact.stripped"
-sed 's/"seconds":[^,}]*//' "$SMOKE/pruned.ndjson" >"$SMOKE/pruned.stripped"
+# Lines are appended in cell-completion order and cells run in
+# parallel, so compare the sorted sets of lines, not their order.
+sed 's/"seconds":[^,}]*//' "$SMOKE/exact.ndjson" | LC_ALL=C sort >"$SMOKE/exact.stripped"
+sed 's/"seconds":[^,}]*//' "$SMOKE/pruned.ndjson" | LC_ALL=C sort >"$SMOKE/pruned.stripped"
 diff "$SMOKE/exact.stripped" "$SMOKE/pruned.stripped"
 diff "$SMOKE/exact.txt" "$SMOKE/pruned.txt"
 echo "    pruned study is byte-identical to the exact one (modulo timing)"
